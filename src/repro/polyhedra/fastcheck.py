@@ -18,46 +18,27 @@ from __future__ import annotations
 
 from math import gcd
 
-import numpy as np
-from scipy import optimize
-
+from repro.ilp.highs_lp import RowLP
 from repro.polyhedra.cache import MISS, active_cache
 from repro.polyhedra.sets import BasicSet
 
 __all__ = ["fast_reject", "lp_feasible", "set_is_empty"]
 
 
-def _lp_solve(bs: BasicSet):
-    """Solve the rational feasibility LP; returns the scipy result."""
-    names = list(bs.space.names)
-    n = len(names)
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for con in bs.constraints:
-        row = np.zeros(n)
-        for i in range(n):
-            row[i] = con.coeffs[i]
-        const = con.coeffs[-1]
-        if con.equality:
-            a_eq.append(row)
-            b_eq.append(-const)
-        else:
-            a_ub.append(-row)   # expr + const >= 0  ->  -expr <= const
-            b_ub.append(const)
-    return optimize.linprog(
-        c=np.zeros(n),
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=[(None, None)] * n,
-        method="highs",
+def _lp_solve(bs: BasicSet) -> RowLP:
+    """Solve the rational feasibility LP (zero objective) of ``bs``."""
+    lp = RowLP(
+        [(con.coeffs, con.equality) for con in bs.constraints],
+        len(bs.space.names),
     )
+    lp.minimize()
+    return lp
 
 
 def lp_feasible(bs: BasicSet) -> bool:
     """Whether the rational relaxation of ``bs`` is non-empty."""
-    # status 2 = infeasible; anything else (optimal/unbounded) means feasible
-    return _lp_solve(bs).status != 2
+    # only a proof of infeasibility counts; undecided means feasible
+    return not _lp_solve(bs).infeasible
 
 
 def _integer_witness(bs: BasicSet, point) -> bool:
@@ -149,11 +130,11 @@ def set_is_empty(bs: BasicSet) -> bool:
         hit = cache.get_empty(bs.content_key())
         if hit is not MISS:
             return hit
-        res = _lp_solve(bs)
-        if res.status == 2:
+        lp = _lp_solve(bs)
+        if lp.infeasible:
             cache.put_empty(bs.content_key(), True)
             return True
-        if _integer_witness(bs, res.x):
+        if _integer_witness(bs, lp.point()):
             cache.put_empty(bs.content_key(), False)
             return False
         return bs.is_empty()  # consults and fills the same memo table

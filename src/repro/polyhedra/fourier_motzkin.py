@@ -19,6 +19,8 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Sequence
 
+from repro.ilp.highs_lp import RowLP
+
 __all__ = [
     "eliminate_column",
     "eliminate_columns",
@@ -196,47 +198,37 @@ def prune_redundant_rows(rows: list[Row]) -> list[Row]:
     """Drop inequality rows implied by the remaining system (rational test).
 
     Each inequality ``a.x + c >= 0`` is redundant iff ``min(a.x)`` over the
-    other rows is ``>= -c``; decided with HiGHS.  Dropping a weakly-touching
-    row keeps the same rational set; in the presence of floating-point
-    tolerance the result can only be an *over*-approximation of the
-    projection, which every consumer of deep projections (loop bounds,
-    guards) tolerates by construction — inner levels re-check exact
-    constraints pointwise.
-    """
-    import numpy as np
-    from scipy import optimize
+    other rows is ``>= -c``.  The rule is *keep unless proven implied*: a
+    row goes only when HiGHS reports an optimum that clears the bound;
+    infeasible, unbounded and undecided LPs keep it.  Rows are tested in
+    order, each against the equalities, the rows kept before it and every
+    row after it, so of two rows implied only by each other the earlier
+    one goes and the later one stays.
 
+    The system is marshalled once into a persistent :class:`RowLP`: the
+    row under test is relaxed (bounds ``(-inf, inf)``), the objective set
+    to its coefficients, and each solve warm-starts from the last basis;
+    an implied row stays relaxed, any other is restored.
+
+    Dropping a weakly-touching row keeps the same rational set; in the
+    presence of floating-point tolerance the result can only be an *over*-
+    approximation of the projection, which every consumer of deep
+    projections (loop bounds, guards) tolerates by construction — inner
+    levels re-check exact constraints pointwise.
+    """
     eqs = [r for r in rows if r[1]]
     ineqs = [r for r in rows if not r[1]]
     if len(ineqs) <= 1:
         return rows
-    width = len(rows[0][0]) - 1
 
-    kept = list(ineqs)
-    i = 0
-    while i < len(kept):
-        coeffs, _ = kept[i]
-        others = eqs + kept[:i] + kept[i + 1 :]
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for ocoeffs, oeq in others:
-            row = np.array(ocoeffs[:-1], dtype=float)
-            if oeq:
-                a_eq.append(row)
-                b_eq.append(-float(ocoeffs[-1]))
-            else:
-                a_ub.append(-row)
-                b_ub.append(float(ocoeffs[-1]))
-        res = optimize.linprog(
-            c=np.array(coeffs[:-1], dtype=float),
-            A_ub=np.array(a_ub) if a_ub else None,
-            b_ub=np.array(b_ub) if b_ub else None,
-            A_eq=np.array(a_eq) if a_eq else None,
-            b_eq=np.array(b_eq) if b_eq else None,
-            bounds=[(None, None)] * width,
-            method="highs",
-        )
-        if res.status == 0 and res.fun + coeffs[-1] >= -1e-9:
-            kept.pop(i)  # implied by the others
-        else:
-            i += 1
+    lp = RowLP(eqs + ineqs, len(rows[0][0]) - 1)
+    kept: list[Row] = []
+    for i, row in enumerate(ineqs, start=len(eqs)):
+        coeffs = row[0]
+        lp.relax(i)
+        low = lp.minimize(coeffs)
+        if low is not None and low + coeffs[-1] >= -1e-9:
+            continue  # implied by the others: stays relaxed
+        lp.restore(i)
+        kept.append(row)
     return eqs + kept

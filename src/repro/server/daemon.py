@@ -201,6 +201,34 @@ class _Flight:
             return False
 
 
+class _InProgress:
+    """Requests between parse and response write, counted for both loops.
+
+    The drain waits for the count to reach zero before it closes
+    connections: a settled flight only means the result exists, not that
+    the handler waiting on it has written the response yet.
+    """
+
+    def __init__(self) -> None:
+        self._count = 0
+        self._idle = threading.Condition(threading.Lock())
+
+    def __enter__(self) -> None:
+        with self._idle:
+            self._count += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._idle:
+            self._count -= 1
+            if not self._count:
+                self._idle.notify_all()
+
+    def wait_idle(self, timeout: float) -> None:
+        """Block until no request is in progress, or ``timeout`` passes."""
+        with self._idle:
+            self._idle.wait_for(lambda: not self._count, timeout)
+
+
 class Daemon:
     def __init__(self, config: DaemonConfig):
         self.config = config
@@ -226,7 +254,7 @@ class Daemon:
         self._open_conns: set = set()  # sockets (threads) or writers (async)
         self._conns_lock = threading.Lock()
         self._conn_tasks: set = set()
-        self._busy_requests = 0
+        self._in_progress = _InProgress()
         self.bound_address: Optional[object] = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -256,10 +284,14 @@ class Daemon:
         if self.config.skeleton_dir:
             os.environ["REPRO_SKELETON_CACHE"] = self.config.skeleton_dir
 
-    def _drain_pool(self) -> None:
+    def _drain_and_wait(self) -> None:
+        """Finish in-flight work, then wait for every handler to write
+        its response (bounded: a client that stops reading cannot hold
+        the drain open)."""
         drained = self.pool.drain(timeout=self.config.drain_seconds)
         if not drained:
             self.pool.stop()  # stragglers: kill, fail their flights
+        self._in_progress.wait_idle(timeout=5.0)
 
     # -- the async loop ----------------------------------------------------
 
@@ -287,12 +319,10 @@ class Daemon:
         finally:
             server.close()
             await server.wait_closed()
-            # Workers settle their flights inside drain (which runs off
-            # the loop, so waiters write their responses meanwhile) ...
-            await loop.run_in_executor(None, self._drain_pool)
-            deadline = loop.time() + 5.0
-            while self._busy_requests and loop.time() < deadline:
-                await asyncio.sleep(0.01)
+            # Workers settle their flights inside drain, and handlers
+            # write their responses; both wait off the loop, which keeps
+            # serving the handlers meanwhile ...
+            await loop.run_in_executor(None, self._drain_and_wait)
             # ... now cut the readers loose.
             with self._conns_lock:
                 writers = list(self._open_conns)
@@ -327,13 +357,10 @@ class Daemon:
                     continue
                 if request is None:
                     continue  # blank line
-                self._busy_requests += 1
-                try:
+                with self._in_progress:
                     response = await self._handle_async(request)
-                finally:
-                    self._busy_requests -= 1
-                writer.write(response)
-                await writer.drain()
+                    writer.write(response)
+                    await writer.drain()
                 if request.get("type") == "shutdown":
                     return
         except (OSError, ValueError, ConnectionError):
@@ -462,9 +489,8 @@ class Daemon:
         if self.config.socket_path is not None:
             with contextlib.suppress(OSError):
                 os.unlink(self.config.socket_path)
-        self._drain_pool()
-        # In-flight responses are out (flights settle before the pool
-        # reports drained); now cut the readers loose.
+        self._drain_and_wait()
+        # In-flight responses are out; now cut the readers loose.
         with self._conns_lock:
             conns = list(self._open_conns)
             threads = list(self._conn_threads)
@@ -491,8 +517,9 @@ class Daemon:
                     continue
                 if request is None:
                     return  # orderly EOF
-                response = self._handle(request)
-                protocol.write_message(wfile, response)
+                with self._in_progress:
+                    response = self._handle(request)
+                    protocol.write_message(wfile, response)
                 if request.get("type") == "shutdown":
                     return
         except (OSError, ValueError):

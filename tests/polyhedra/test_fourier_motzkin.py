@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ilp.model import ILPModel
+from repro.ilp.simplex import solve_lp
 from repro.polyhedra.fourier_motzkin import (
     eliminate_column,
     eliminate_columns,
@@ -111,6 +113,54 @@ class TestPruneRedundant:
         assert ((1, -1, 0), True) in out
 
 
+class TestPruneSemantics:
+    """Keep unless proven implied, tested in order against the rest."""
+
+    def test_infeasible_others_keep_the_row(self):
+        # x >= 5, x <= 3, x >= 0: x >= 0 is tested against an empty system
+        rows = [((1, -5), False), ((-1, 3), False), ((1, 0), False)]
+        assert prune_redundant_rows(rows) == rows
+
+    def test_unbounded_lp_keeps_the_row(self):
+        # x >= 0, y >= 0: min x over {y >= 0} is unbounded
+        rows = [((1, 0, 0), False), ((0, 1, 0), False)]
+        assert prune_redundant_rows(rows) == rows
+
+    def test_equalities_only(self):
+        rows = [((1, -1, 0), True), ((1, 0, -2), True)]
+        assert prune_redundant_rows(rows) == rows
+        # one inequality beside them is never tested either
+        rows = rows + [((0, 1, 7), False)]
+        assert prune_redundant_rows(rows) == rows
+
+    def test_equalities_imply_a_row(self):
+        # x == y, y >= 0  =>  x >= -1 is implied
+        rows = [((1, -1, 0), True), ((0, 1, 0), False), ((1, 0, 1), False)]
+        assert prune_redundant_rows(rows) == rows[:2]
+
+    def test_zero_width_rows_are_all_kept(self):
+        # no columns: HiGHS proves nothing, so nothing is dropped
+        rows = [((1,), False), ((-1,), False), ((4,), False)]
+        assert prune_redundant_rows(rows) == rows
+
+    def test_constant_rows(self):
+        # 3 >= 0 is implied by anything feasible; -1 >= 0 never is
+        rows = [((1, 0), False), ((0, 3), False)]
+        assert prune_redundant_rows(rows) == rows[:1]
+        rows = [((1, 0), False), ((0, -1), False)]
+        assert prune_redundant_rows(rows) == rows
+
+    def test_mutually_implied_pair_drops_the_earlier(self):
+        # x >= 0 and 2x >= 0 imply each other; both cannot go
+        rows = [((1, 0), False), ((2, 0), False), ((-1, 5), False)]
+        assert prune_redundant_rows(rows) == rows[1:]
+
+    def test_kept_row_restored_before_next_test(self):
+        # x >= 0 is kept; x + 1 >= 0 is implied only *with* x >= 0 back in
+        rows = [((1, 0), False), ((1, 1), False)]
+        assert prune_redundant_rows(rows) == rows[:1]
+
+
 @st.composite
 def random_system(draw):
     n = draw(st.integers(2, 4))
@@ -161,3 +211,51 @@ class TestProperties:
         point = [data.draw(st.integers(-3, 3)) for _ in range(n)]
         pruned = prune_redundant_rows(normalize_rows(list(rows)))
         assert _sat(rows, point) == _sat(pruned, point)
+
+
+def _exact_prune(rows):
+    """The reference decision: sequential pruning with exact rational LPs
+    (``repro.ilp.simplex``), no floating point and no tolerance."""
+    width = len(rows[0][0]) - 1
+    eqs = [r for r in rows if r[1]]
+    kept = [r for r in rows if not r[1]]
+    if len(kept) <= 1:
+        return rows
+    names = [f"x{j}" for j in range(width)]
+    i = 0
+    while i < len(kept):
+        coeffs = kept[i][0]
+        model = ILPModel()
+        for name in names:
+            model.add_variable(name, lower=None, upper=None, integer=False)
+        for ocoeffs, oeq in eqs + kept[:i] + kept[i + 1:]:
+            model.add_constraint(
+                {n: c for n, c in zip(names, ocoeffs) if c}, ocoeffs[-1], oeq
+            )
+        res = solve_lp(model, {n: c for n, c in zip(names, coeffs) if c})
+        if res.is_optimal and res.objective + coeffs[-1] >= 0:
+            kept.pop(i)
+        else:
+            i += 1
+    return eqs + kept
+
+
+@st.composite
+def free_system(draw):
+    """Small integer systems, unboxed: infeasible, unbounded, equalities
+    and constant rows all occur."""
+    n = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        coeffs = tuple(draw(st.integers(-3, 3)) for _ in range(n)) + (
+            draw(st.integers(-5, 5)),
+        )
+        rows.append((coeffs, draw(st.booleans()) and draw(st.booleans())))
+    return rows
+
+
+class TestPruneMatchesExact:
+    @given(free_system())
+    @settings(max_examples=150, deadline=None)
+    def test_kept_set_matches_exact_decision(self, rows):
+        assert prune_redundant_rows(rows) == _exact_prune(rows)
