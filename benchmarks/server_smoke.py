@@ -16,12 +16,13 @@ would:
 **Saturation mode** (``--saturation``) measures warm serving throughput —
 closed-loop clients hammering cached keys — on two stacks:
 
-1. the seed daemon (``--loop threads --pool spawn``: thread-per-connection
-   accept loop, unmemoized resolution, parse + re-dump responses), and
-2. the current default (asyncio loop, warm pre-forked pool, memoized
+1. the seed stack, a frozen bench-private copy in ``seed_daemon.py``
+   (thread-per-connection accept loop, unmemoized resolution, parse +
+   re-dump responses), and
+2. ``repro serve`` (asyncio loop, warm pre-forked pool, memoized
    resolution, pre-serialized response splice).
 
-Gates: the default stack must serve at least ``SPEEDUP_GATE``x the seed's
+Gates: ``repro serve`` must serve at least ``SPEEDUP_GATE``x the seed's
 requests/s, with warm p99 under ``P99_GATE_SECONDS``.  It then stands up a
 2-shard fleet behind ``repro route``, pre-populates it with the real
 ``repro warm`` CLI, and checks that fleet-served warm responses carry the
@@ -85,9 +86,10 @@ def _scale() -> dict:
     return {"duration": 10.0, "conns": 16}
 
 
-def _start_daemon(socket_path: str, cache_dir: str, *extra: str):
+def _start_daemon(socket_path: str, cache_dir: str, *extra: str,
+                  command=("-m", "repro", "serve")):
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve",
+        [sys.executable, *command,
          "--socket", socket_path, "--cache-dir", cache_dir, *extra],
         env=dict(os.environ), stderr=subprocess.PIPE, text=True,
     )
@@ -370,17 +372,19 @@ def run_saturation(output: str, jobs: int) -> int:
     scale = _scale()
     print(f"saturation scale: {scale} "
           f"(REPRO_BENCH_SCALE={os.environ.get('REPRO_BENCH_SCALE', 'full')})")
-    stacks = {
-        "seed": ("--loop", "threads", "--pool", "spawn"),
-        "async": (),  # the defaults: async loop + warm pool
+    seed = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "seed_daemon.py")  # the seed stack, frozen
+    stacks = {  # name: (command, extra arguments)
+        "seed": ((seed,), ()),
+        "async": (("-m", "repro", "serve"), ("--jobs", str(jobs))),
     }
     measured: dict[str, dict] = {}
     with tempfile.TemporaryDirectory(prefix="repro-serve-sat-") as tmp:
-        for name, extra in stacks.items():
+        for name, (command, extra) in stacks.items():
             socket_path = os.path.join(tmp, f"{name}.sock")
             daemon = _start_daemon(
-                socket_path, os.path.join(tmp, f"cache-{name}"),
-                "--jobs", str(jobs), *extra,
+                socket_path, os.path.join(tmp, f"cache-{name}"), *extra,
+                command=command,
             )
             try:
                 measured[name] = _measure_warm_throughput(

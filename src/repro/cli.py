@@ -222,15 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "exact-cache misses (default: "
                             "<cache-dir>/skeletons when the disk cache is "
                             "enabled; '' disables)")
-    serve.add_argument("--loop", choices=("async", "threads"), default="async",
-                       help="serving loop: one asyncio event loop "
-                            "multiplexing every connection (default), or the "
-                            "original thread-per-connection loop")
-    serve.add_argument("--pool", choices=("warm", "spawn"), default="warm",
-                       help="worker pool: pre-forked persistent workers "
-                            "(default), or one fresh process per cache miss")
     serve.add_argument("--recycle", type=int, default=None, metavar="N",
-                       help="warm pool: retire each worker after N requests "
+                       help="retire each warm worker after N requests "
                             "(default 64)")
     serve.add_argument("--report", action="store_true",
                        help="print a metrics summary line on exit")
@@ -651,8 +644,6 @@ def _cmd_serve(args) -> int:
             backlog=args.backlog,
             cache_dir=cache_dir,
             skeleton_dir=skeleton_dir or None,
-            loop=args.loop,
-            pool_mode=args.pool,
             pool_recycle=(args.recycle if args.recycle is not None
                           else DEFAULT_RECYCLE),
             **({} if args.mem_entries is None
@@ -666,7 +657,7 @@ def _cmd_serve(args) -> int:
 
     print(f"# repro {__version__} serving on "
           f"{args.socket or f'{args.host}:{args.port}'} "
-          f"(loop {config.loop}, pool {config.pool_mode}, jobs {config.jobs}, "
+          f"(jobs {config.jobs}, "
           f"cache {config.cache_dir or 'memory-only'}, "
           f"skeletons {config.skeleton_dir or 'off'})",
           file=sys.stderr, flush=True)

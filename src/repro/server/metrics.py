@@ -1,8 +1,8 @@
 """Serving metrics: request counters, gauges, latency percentiles.
 
-A single :class:`ServerMetrics` instance is shared by every connection
-thread and the pool dispatcher, so everything is guarded by one lock —
-contention is irrelevant next to seconds-long scheduling requests.
+A single :class:`ServerMetrics` instance is shared by the daemon's event
+loop and the pool's dispatcher thread, so everything is guarded by one
+lock — contention is irrelevant next to seconds-long scheduling requests.
 
 Latencies are recorded per stage into bounded reservoirs (the most recent
 ``window`` observations): ``lookup`` is resolve + cache probe, ``compute``
@@ -93,7 +93,7 @@ class ServerMetrics:
         # {"python": 40, "c": 2}; requests predating the knob count as
         # "python" (the resolved-options default)
         self.backends: dict[str, int] = {}
-        # warm worker pool accounting (spawn-per-miss pools leave these 0)
+        # warm worker pool accounting
         self.pool_spawns = 0       # workers forked (initial + replacements)
         self.pool_dispatches = 0   # jobs handed to a worker
         self.pool_reuses = 0       # ... to a worker that had served before

@@ -1,13 +1,13 @@
-"""Shared worker-process supervision: spawn, report, deadline kill.
+"""Worker-process supervision: spawn, report, deadline kill.
 
-Two subsystems run jobs as one short-lived process per request — the
-parallel suite engine (:mod:`repro.suite.runner`) and the serving daemon's
-pool (:mod:`repro.server.pool`).  Both need the same machinery: fork a
-child that reports exactly one ``("ok" | "error", payload)`` message over a
-pipe, wait on many children at once, kill the ones that outlive their
-deadline, and classify a silent death as a *crash* rather than a result.
-That machinery lives here so the two callers cannot drift apart; policy —
-retries, manifests, caches, admission control — stays with the caller.
+The parallel suite engine (:mod:`repro.suite.runner`) runs each job in
+one short-lived process: fork a child that reports exactly one
+``("ok" | "error", payload)`` message over a pipe, wait on many children
+at once, kill the ones that outlive their deadline, and classify a silent
+death as a *crash* rather than a result.  That machinery lives here;
+policy — retries, manifests — stays with the caller.  The serving
+daemon's persistent workers (:mod:`repro.server.pool`) share the child
+side: :func:`warm_worker_main` and :func:`kill_process`.
 
 Child contract (:func:`worker_main`): the spawn target runs
 ``fn(payload)`` and sends ``("ok", result)``; any raise is caught and sent
@@ -20,9 +20,6 @@ Parent contract (:class:`WorkerSupervisor`): :meth:`~WorkerSupervisor.spawn`
 starts one child per job, :meth:`~WorkerSupervisor.poll` performs one
 ``multiprocessing.connection.wait`` round and returns settled
 :class:`WorkerEvent` records (``ok``/``error``/``crash``/``timeout``).
-``poll`` also accepts extra connections to wait on — the daemon pool's
-wake pipe — so a dispatcher thread can block on worker completions and new
-submissions in one call.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ import time
 import traceback
 from dataclasses import dataclass
 from multiprocessing.connection import wait as conn_wait
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 __all__ = [
     "WorkerEvent",
@@ -78,7 +75,7 @@ def worker_main(fn: Callable, payload, conn) -> None:
         conn.close()
 
 
-def warm_worker_main(fn, conn) -> None:
+def warm_worker_main(fn, conn, inherited=()) -> None:
     """Persistent child body: serve jobs off the pipe until retired.
 
     The parent sends ``(seq, payload)`` tuples and reads back
@@ -87,7 +84,13 @@ def warm_worker_main(fn, conn) -> None:
     pipe EOF (parent died) retires the worker too.  As with
     :func:`worker_main`, a raising job is a structured ``error`` outcome
     and only a silent death (signal, ``os._exit``) reads as a crash.
+
+    ``inherited`` lists the parent-side pipe ends this fork copied (its
+    own and its siblings'); they are closed first, since any one of them
+    left open keeps the parent's end alive and the EOF would never come.
     """
+    for other in inherited:
+        other.close()
     while True:
         try:
             msg = conn.recv()
@@ -157,9 +160,6 @@ class WorkerSupervisor:
     def live_count(self) -> int:
         return len(self._live)
 
-    def live_handles(self) -> list[WorkerHandle]:
-        return list(self._live.values())
-
     def spawn(
         self,
         key,
@@ -182,17 +182,14 @@ class WorkerSupervisor:
         self._live[parent_conn] = handle
         return handle
 
-    def poll(
-        self, extra: Sequence = (), timeout: Optional[float] = None
-    ) -> tuple[list[WorkerEvent], list]:
+    def poll(self, timeout: Optional[float] = None) -> list[WorkerEvent]:
         """One wait round: reap reporters, kill the overdue, return events.
 
-        Blocks until a worker settles, an ``extra`` connection becomes
-        readable, the earliest worker deadline passes, or ``timeout``
-        elapses — whichever is first.  Returns ``(events, ready_extras)``.
+        Blocks until a worker settles, the earliest worker deadline
+        passes, or ``timeout`` elapses — whichever is first.
         """
-        if not self._live and not extra:
-            return [], []
+        if not self._live:
+            return []
 
         deadlines = [
             h.deadline() for h in self._live.values() if h.timeout is not None
@@ -204,14 +201,10 @@ class WorkerSupervisor:
                 until_deadline if wait_for is None else min(wait_for, until_deadline)
             )
 
-        ready = conn_wait(list(self._live) + list(extra), timeout=wait_for)
-        extra_set = set(extra)
-        ready_extras = [c for c in ready if c in extra_set]
+        ready = conn_wait(list(self._live), timeout=wait_for)
 
         events: list[WorkerEvent] = []
         for conn in ready:
-            if conn in extra_set:
-                continue
             handle = self._live.pop(conn)
             elapsed = time.perf_counter() - handle.started
             pid = handle.proc.pid
@@ -242,7 +235,7 @@ class WorkerSupervisor:
                 f"exceeded {handle.timeout:.0f}s deadline",
                 now - handle.started, handle.proc.pid,
             ))
-        return events, ready_extras
+        return events
 
     def shutdown(self) -> None:
         """Kill every live worker; leaves no orphans behind."""

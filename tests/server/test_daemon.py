@@ -1,8 +1,8 @@
 """End-to-end daemon tests over real Unix sockets.
 
 The daemon runs on a background thread inside the test process; worker
-behavior is injected by swapping the pool supervisor's job body for a
-scripted one — forked workers inherit the swap, and the script keys off
+behavior is injected by swapping the pool's job body for a scripted
+one — forked workers inherit the swap, and the script keys off
 the serialized program's *name*, so hostile behavior (crash, hang, slow)
 is selected per request.  Fork-gated like the suite-engine tests.
 """
@@ -78,36 +78,22 @@ def _scripted(payload):
 
 
 def _inject(daemon, fn) -> None:
-    """Swap the pool's job body (works for both pool implementations).
-
-    Must happen before ``serve()``: warm workers capture ``fn`` at fork.
-    """
-    if hasattr(daemon.pool, "_sup"):
-        daemon.pool._sup.fn = fn  # spawn-per-miss supervisor
-    else:
-        daemon.pool.fn = fn       # warm pool: captured at each fork
+    """Swap the pool's job body; before ``serve()``, since warm workers
+    capture ``fn`` at fork."""
+    daemon.pool.fn = fn
 
 
-@pytest.fixture(
-    params=[("async", "warm"), ("threads", "spawn")],
-    ids=["async-warm", "threads-spawn"],
-)
-def daemon_factory(request, tmp_path):
-    """Start daemons on background threads; drain them all afterwards.
-
-    Parametrized over the default serving stack (asyncio loop + warm
-    pre-forked pool) and the legacy one (thread-per-connection +
-    spawn-per-miss), so every end-to-end behavior is pinned on both.
-    """
-    loop, pool_mode = request.param
+# One serving stack (asyncio loop + warm pre-forked pool); the param id
+# keeps the test ids it has always had.
+@pytest.fixture(params=["async-warm"])
+def daemon_factory(tmp_path):
+    """Start daemons on background threads; drain them all afterwards."""
     started = []
 
     def make(scripted=True, **cfg):
         cfg.setdefault("jobs", 2)
         cfg.setdefault("drain_seconds", 2.0)
         cfg.setdefault("cache_dir", str(tmp_path / "cache"))
-        cfg.setdefault("loop", loop)
-        cfg.setdefault("pool_mode", pool_mode)
         config = DaemonConfig(
             socket_path=str(tmp_path / f"d{len(started)}.sock"), **cfg
         )
@@ -449,8 +435,6 @@ class TestBindSafety:
         rival = Daemon(DaemonConfig(
             socket_path=daemon.config.socket_path,
             cache_dir=daemon.config.cache_dir,
-            loop=daemon.config.loop,
-            pool_mode=daemon.config.pool_mode,
         ))
         with pytest.raises(SocketInUse, match="already serving"):
             rival.serve()

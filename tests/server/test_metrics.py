@@ -160,8 +160,8 @@ class TestServerMetrics:
         }
 
     def test_pool_counters_default_zero(self):
-        # spawn-per-miss pools never touch these; the snapshot still
-        # carries the block so dashboards need no special-casing
+        # a fresh daemon has not forked yet; the snapshot still carries
+        # the block so dashboards need no special-casing
         snap = ServerMetrics().snapshot()
         assert snap["pool"] == {
             "spawns": 0, "dispatches": 0, "reuses": 0, "recycles": 0,

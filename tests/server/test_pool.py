@@ -1,19 +1,19 @@
-"""Tests for the daemon's worker pools: callbacks, backpressure, stop.
-
-Parametrized over both implementations — spawn-per-miss
-(:class:`WorkerPool`) and the pre-forked warm pool
-(:class:`WarmWorkerPool`) — which share one submission interface and one
-fault contract.
-"""
+"""Tests for the daemon's warm worker pool: callbacks, backpressure,
+stop, persistence, recycling, and dying with its parent."""
 
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.server.pool import PoolJob, WarmWorkerPool, WorkerPool
+import repro
+from repro.server.pool import PoolJob, WarmWorkerPool
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -61,14 +61,14 @@ class _Collector:
         return self.events
 
 
-@pytest.fixture(params=[WorkerPool, WarmWorkerPool], ids=["spawn", "warm"])
-def pool_factory(request):
+# The param id keeps the test ids these tests have always had.
+@pytest.fixture(params=["warm"])
+def pool_factory():
     pools = []
 
     def make(**kwargs):
-        if request.param is WarmWorkerPool:
-            kwargs.setdefault("preload", None)  # tests inject their own fn
-        pool = request.param(**kwargs)
+        kwargs.setdefault("preload", None)  # tests inject their own fn
+        pool = WarmWorkerPool(**kwargs)
         pool.start()
         pools.append(pool)
         return pool
@@ -253,3 +253,60 @@ class TestWarmPool:
         assert all(ev.kind == "ok" for ev in events)
         # both finished in one 0.4s window, not two serialized ones
         assert all(ev.elapsed < 2.0 for ev in events)
+
+
+def _exited(pid: int) -> bool:
+    """Gone, or a zombie nobody has reaped yet: either way, not serving."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return True
+    return state in ("Z", "X")
+
+
+_OWNER = """
+import time
+from repro.server.pool import WarmWorkerPool
+
+pool = WarmWorkerPool(jobs=2, preload=None)
+pool.start()
+print(" ".join(str(w.proc.pid) for w in pool._workers), flush=True)
+time.sleep(600)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc/<pid>")
+class TestParentDeath:
+    def test_workers_exit_when_owner_is_killed(self):
+        # SIGKILL skips every cleanup hook: the workers must notice the
+        # dead parent through pipe EOF alone
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+        )
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _OWNER], env=env,
+            stdout=subprocess.PIPE, text=True,
+        )
+        pids = []
+        try:
+            pids = [int(p) for p in owner.stdout.readline().split()]
+            assert len(pids) == 2
+            owner.send_signal(signal.SIGKILL)
+            owner.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while not all(_exited(pid) for pid in pids):
+                assert time.monotonic() < deadline, (
+                    f"warm workers outlived their pool's process: "
+                    f"{[pid for pid in pids if not _exited(pid)]}"
+                )
+                time.sleep(0.05)
+        finally:
+            if owner.poll() is None:
+                owner.kill()
+                owner.wait()
+            owner.stdout.close()
+            for pid in pids:  # never leave an orphan behind on failure
+                if not _exited(pid):
+                    os.kill(pid, signal.SIGKILL)

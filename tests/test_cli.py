@@ -305,15 +305,18 @@ class TestCLIServeParsing:
             main(["client", "opt", "--socket", str(tmp_path / "x.sock")])
 
     def test_serve_loop_and_pool_flags(self):
+        # one serving loop and one pool: only the recycle limit is tunable
         args = build_parser().parse_args(["serve", "--socket", "/tmp/x.sock"])
-        assert args.loop == "async" and args.pool == "warm"
         assert args.recycle is None
         args = build_parser().parse_args(
-            ["serve", "--socket", "/tmp/x.sock", "--loop", "threads",
-             "--pool", "spawn", "--recycle", "8"]
+            ["serve", "--socket", "/tmp/x.sock", "--recycle", "8"]
         )
-        assert args.loop == "threads" and args.pool == "spawn"
         assert args.recycle == 8
+        for removed in (["--loop", "threads"], ["--pool", "spawn"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["serve", "--socket", "/tmp/x.sock", *removed]
+                )
 
     def test_route_parser(self):
         args = build_parser().parse_args(
