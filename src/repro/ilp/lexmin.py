@@ -10,28 +10,43 @@ Two backends are available, mirroring the paper's PIP/GLPK split:
 
 * ``"exact"`` — integer-scaled simplex + branch-and-bound
   (:mod:`repro.ilp.simplex` / :mod:`repro.ilp.branch_bound`);
-* ``"highs"`` — scipy/HiGHS (:mod:`repro.ilp.highs_backend`);
+* ``"highs"`` — HiGHS through its binding (:mod:`repro.ilp.highs_lp`);
 * ``"auto"`` — exact below :data:`AUTO_THRESHOLD` variables *and*
   :data:`AUTO_CONSTRAINT_THRESHOLD` constraints, HiGHS beyond (the paper
   switched to GLPK for models with 100+ variables, e.g. swim's 219).
 
-The exact backend is **warm-started**: one :class:`IncrementalLP` tableau is
-built (one phase 1) and persists across the whole objective sequence — after
-objective ``k`` is pinned via :meth:`IncrementalLP.fix`, objective ``k+1``
-re-optimizes from the previous optimal basis, and branch-and-bound cuts are
-applied warm on snapshots.  Two solve-avoidance shortcuts run first:
+Both backends marshal the model **once** per ``lexmin`` and pin each
+optimum in place:
+
+* the exact backend is **warm-started**: one :class:`IncrementalLP` tableau
+  is built (one phase 1) and persists across the whole objective sequence —
+  after objective ``k`` is pinned via :meth:`IncrementalLP.fix`, objective
+  ``k+1`` re-optimizes from the previous optimal basis, and
+  branch-and-bound cuts are applied warm on snapshots;
+* the HiGHS backend keeps one :class:`~repro.ilp.highs_lp.HighsMIP`: each
+  objective is set by column costs, each optimum is pinned by the column's
+  bounds, and the same instance is re-run.
+
+Solve-avoidance shortcuts run before each solve:
 
 * the driver holds a feasible assignment satisfying all fixings; when the
   next objective variable already sits at its lower bound there, its minimum
   is known and no solve is issued (most ``delta``/coefficient variables
   resolve this way);
-* otherwise a *feasible-assignment probe* sets **all** remaining objective
-  variables to their lower bounds at once and checks the model; if feasible,
-  every remaining minimum is known and the sequence finishes with no further
-  solves.
+* on the exact path only, a *feasible-assignment probe* sets **all**
+  remaining objective variables to their lower bounds at once and checks
+  the model in exact arithmetic; if feasible, every remaining minimum is
+  known and the sequence finishes with no further solves.  The probe was
+  built for the exact simplex, where a solve is dear; on the HiGHS path it
+  never hit on the Polybench or periodic kernels and only added its
+  ``Fraction`` re-check, so that path does not run it.  Dropping it does
+  not change a result: the lexmin values are unique, and the scheduler's
+  models leave no variable free once the objective order is pinned (the
+  diamond search's ``ds.*`` binaries are fixed by the pinned
+  coefficients).
 
-``REPRO_EXACT_LEGACY=1`` disables both the warm start and the probe (and the
-Fraction reference tableau takes over underneath), reproducing the seed
+``REPRO_EXACT_LEGACY=1`` disables the exact warm start and the probe (and
+the Fraction reference tableau takes over underneath), reproducing the seed
 solver for baseline measurements.
 """
 
@@ -43,6 +58,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from repro.ilp.branch_bound import ILPResult, ILPStatus, solve_ilp, solve_ilp_warm
 from repro.ilp.highs_backend import solve_ilp_highs
+from repro.ilp.highs_lp import HighsMIP
 from repro.ilp.model import ILPModel, LinearConstraint, SolveStats, legacy_exact_mode
 from repro.ilp.simplex import IncrementalLP
 
@@ -156,23 +172,31 @@ def lexmin(
     if not model.objective_order:
         raise ValueError("model has no objective order set")
     solve, backend_name = pick_backend(model, backend, auto_threshold)
-    if backend_name == "exact" and warm_start and not legacy_exact_mode():
+    if backend_name == "highs":
+        return _lexmin_highs(model, node_limit)
+    if warm_start and not legacy_exact_mode():
         return _lexmin_exact_warm(model, node_limit)
     return _lexmin_cold(model, solve, backend_name, node_limit)
 
 
-def _lexmin_cold(
-    model: ILPModel, solve: Backend, backend_name: str, node_limit: int
+def _lexmin_sequence(
+    model: ILPModel,
+    backend: str,
+    solve: Callable[[str], ILPResult],
+    pin: Callable[[str, Fraction], bool],
+    use_probe: bool,
+    stats: SolveStats,
 ) -> LexminResult:
-    """One cold solve per objective (any backend); still applies the
-    at-lower-bound shortcut and, unless in legacy mode, the probe."""
-    stats = SolveStats()
-    use_probe = not legacy_exact_mode()
-    fixings: list[LinearConstraint] = []
+    """The objective sequence shared by every backend.
+
+    ``solve(name)`` minimizes ``name`` under every pin so far; ``pin(name,
+    value)`` fixes it at its optimum (``False`` if that made the model
+    infeasible).  Applies the at-lower-bound shortcut and, if ``use_probe``,
+    the lower-bound probe.
+    """
     values: list[Fraction] = []
     current: Optional[dict[str, Fraction]] = None
     solves = 0
-
     order = model.objective_order
     k = 0
     while k < len(order):
@@ -196,19 +220,20 @@ def _lexmin_cold(
                         Fraction(model.variables[n].lower) for n in order[k:]
                     )
                     break
-            result = solve(model, {name: 1}, extra=tuple(fixings), node_limit=node_limit)
+            result = solve(name)
             solves += 1
             stats.merge(result.stats)
             if not result.is_optimal:
                 return LexminResult(
-                    result.status, stats=stats, solves=solves, backend=backend_name
+                    result.status, stats=stats, solves=solves, backend=backend
                 )
             value = result.objective
             current = result.assignment
+        if not pin(name, value):  # pragma: no cover - value is feasible
+            return LexminResult(
+                ILPStatus.INFEASIBLE, stats=stats, solves=solves, backend=backend
+            )
         values.append(value)
-        fixings.append(
-            LinearConstraint({name: 1}, -value, equality=True, label=f"fix:{name}")
-        )
         k += 1
 
     assert current is not None
@@ -218,12 +243,52 @@ def _lexmin_cold(
     for name, value in zip(order, values):
         current[name] = value
     return LexminResult(
-        ILPStatus.OPTIMAL,
-        dict(current),
-        values,
-        stats,
-        solves,
+        ILPStatus.OPTIMAL, dict(current), values, stats, solves, backend
+    )
+
+
+def _lexmin_cold(
+    model: ILPModel, solve: Backend, backend_name: str, node_limit: int
+) -> LexminResult:
+    """One cold solve per objective (any backend), each optimum pinned by a
+    ``fix:`` row; the probe runs unless in legacy mode.  The seed's
+    sequence, kept as the reference the fast paths are tested against."""
+    fixings: list[LinearConstraint] = []
+
+    def pin(name: str, value: Fraction) -> bool:
+        fixings.append(
+            LinearConstraint({name: 1}, -value, equality=True, label=f"fix:{name}")
+        )
+        return True
+
+    return _lexmin_sequence(
+        model,
         backend_name,
+        lambda name: solve(
+            model, {name: 1}, extra=tuple(fixings), node_limit=node_limit
+        ),
+        pin,
+        not legacy_exact_mode(),
+        SolveStats(),
+    )
+
+
+def _lexmin_highs(model: ILPModel, node_limit: int) -> LexminResult:
+    """The HiGHS path: one MIP for the whole sequence, each objective set
+    by column costs and each optimum pinned by the column's bounds."""
+    mip = HighsMIP(model)
+
+    def pin(name: str, value: Fraction) -> bool:
+        mip.pin(name, value)
+        return True
+
+    return _lexmin_sequence(
+        model,
+        "highs",
+        lambda name: mip.minimize({name: 1}, node_limit),
+        pin,
+        False,
+        SolveStats(),
     )
 
 
@@ -239,59 +304,16 @@ def _lexmin_exact_warm(model: ILPModel, node_limit: int) -> LexminResult:
             ILPStatus.INFEASIBLE, stats=stats, solves=1, backend="exact"
         )
 
-    values: list[Fraction] = []
-    current: Optional[dict[str, Fraction]] = None
-    solves = 0
-    order = model.objective_order
-    k = 0
-    while k < len(order):
-        name = order[k]
-        var = model.variables[name]
-        if (
-            current is not None
-            and var.lower is not None
-            and current[name] == var.lower
-        ):
-            value = Fraction(var.lower)
-            stats.shortcut_hits += 1
-        else:
-            if current is not None:
-                probe = _probe_lower_bounds(model, current, order[k:])
-                if probe is not None:
-                    stats.probe_hits += 1
-                    current = probe
-                    values.extend(
-                        Fraction(model.variables[n].lower) for n in order[k:]
-                    )
-                    break
-            result, at_root = solve_ilp_warm(inc, model, {name: 1}, node_limit)
-            solves += 1
-            stats.merge(result.stats)
-            if at_root:
-                stats.warm_starts += 1
-            if not result.is_optimal:
-                return LexminResult(
-                    result.status, stats=stats, solves=solves, backend="exact"
-                )
-            value = result.objective
-            current = result.assignment
-        before = inc.pivots
-        if not inc.fix(name, value):  # pragma: no cover - value is feasible
-            return LexminResult(
-                ILPStatus.INFEASIBLE, stats=stats, solves=solves, backend="exact"
-            )
-        stats.simplex_pivots += inc.pivots - before
-        values.append(value)
-        k += 1
+    def solve(name: str) -> ILPResult:
+        result, at_root = solve_ilp_warm(inc, model, {name: 1}, node_limit)
+        if at_root:
+            stats.warm_starts += 1
+        return result
 
-    assert current is not None
-    for name, value in zip(order, values):
-        current[name] = value
-    return LexminResult(
-        ILPStatus.OPTIMAL,
-        dict(current),
-        values,
-        stats,
-        solves,
-        backend="exact",
-    )
+    def pin(name: str, value: Fraction) -> bool:
+        before = inc.pivots
+        fixed = inc.fix(name, value)
+        stats.simplex_pivots += inc.pivots - before
+        return fixed
+
+    return _lexmin_sequence(model, "exact", solve, pin, True, stats)

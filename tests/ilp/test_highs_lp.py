@@ -2,7 +2,7 @@
 
 ``repro.ilp.highs_lp`` is the one module that reaches into
 ``scipy.optimize._highspy._core``; if a scipy release renames or drops a
-call it relies on, these tests name the missing piece.
+call, option or status it relies on, these tests name the missing piece.
 """
 
 import pytest
@@ -10,11 +10,21 @@ import pytest
 from repro.ilp import highs_lp
 from repro.ilp.highs_lp import RowLP
 
-#: every binding call ``RowLP`` makes
+#: every binding call ``RowLP`` and ``HighsMIP`` make
 USED_CALLS = (
-    "addRows", "addVars", "changeColsCost", "changeRowBounds", "getInfo",
+    "addRows", "addVars", "changeColBounds", "changeColCost",
+    "changeColsCost", "changeColsIntegrality", "changeRowBounds", "getInfo",
     "getModelStatus", "getSolution", "run", "setOptionValue",
 )
+
+#: every model status the two models tell apart
+USED_STATUSES = (
+    "kOptimal", "kInfeasible", "kUnbounded", "kUnboundedOrInfeasible",
+    "kSolutionLimit", "kIterationLimit", "kTimeLimit",
+)
+
+#: every option the two models set
+USED_OPTIONS = ("output_flag", "mip_max_nodes")
 
 
 def test_private_binding_present():
@@ -25,8 +35,13 @@ def test_private_binding_present():
     )
     missing = [c for c in USED_CALLS if not hasattr(core._Highs, c)]
     assert not missing, f"scipy's _Highs binding lacks {missing}"
-    for status in ("kOptimal", "kInfeasible"):
-        assert hasattr(core.HighsModelStatus, status)
+    missing = [s for s in USED_STATUSES if not hasattr(core.HighsModelStatus, s)]
+    assert not missing, f"scipy's HighsModelStatus lacks {missing}"
+    assert hasattr(core.HighsVarType, "kInteger")
+    h = core._Highs()
+    for option in USED_OPTIONS:
+        status, _ = h.getOptionValue(option)
+        assert status == core.HighsStatus.kOk, f"HiGHS has no option {option!r}"
 
 
 # rows (x, y, const): x >= 1, y >= 2, x + y >= 5

@@ -68,6 +68,12 @@ class TestBasicSet:
         s.add(ineq(sp, {"i": -2}, 1))
         assert s.is_empty()
 
+    def test_zero_dimensional_set_is_the_empty_tuple(self):
+        # a set without dims or params holds exactly one point, ()
+        s = BasicSet(Space((), ()))
+        assert not s.is_empty()
+        assert s.min_of(AffExpr.const(s.space, 5)) == 5
+
     def test_min_max(self, sp):
         s = square(sp, n=8)
         expr = AffExpr.from_terms(sp, {"i": 1, "j": 1})
